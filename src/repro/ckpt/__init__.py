@@ -7,7 +7,7 @@ survive process crashes and host reboots.  This package provides:
   simulator (or one worker's shard) into a self-contained blob, with
   host-side observers excised and thread generators replaced by their
   replay logs.
-- :mod:`repro.ckpt.store` — the on-disk format ``repro.ckpt/1``: one
+- :mod:`repro.ckpt.store` — the on-disk format ``repro.ckpt/2``: one
   directory per checkpoint with a JSON manifest, sha256 integrity
   checksums and an atomically updated ``LATEST`` pointer.
 - :mod:`repro.ckpt.recovery` — loading a checkpoint back into a

@@ -1,4 +1,4 @@
-"""On-disk checkpoint layout: the ``repro.ckpt/1`` format.
+"""On-disk checkpoint layout: the ``repro.ckpt/2`` format.
 
 A checkpoint directory tree looks like::
 
@@ -29,8 +29,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import CheckpointError
 
-#: Version tag written into (and required from) every manifest.
-FORMAT = "repro.ckpt/1"
+#: Version tag written into (and required from) every manifest.  Bump
+#: it whenever the pickled simulator's layout changes, so a snapshot
+#: of another layout is refused on read rather than failing mid-resume.
+#: ``/2``: the host cost model's jitter buffer and bound charge sink,
+#: and the per-class core cost tables.
+FORMAT = "repro.ckpt/2"
 
 _MANIFEST = "manifest.json"
 _LATEST = "LATEST"

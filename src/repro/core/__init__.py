@@ -12,12 +12,7 @@ touching the functional simulator.
 from repro.core.branch import BranchPredictor
 from repro.core.factory import CoreModel, create_core_model
 from repro.core.clock import TileClock
-from repro.core.instruction import (
-    BranchInstruction,
-    Instruction,
-    MemoryInstruction,
-    PseudoInstruction,
-)
+from repro.core.instruction import BranchInstruction, PseudoInstruction
 from repro.core.isa import InstructionClass
 from repro.core.lsu import LoadQueue, StoreBuffer
 from repro.core.ooo_model import OutOfOrderCoreModel
@@ -30,10 +25,8 @@ __all__ = [
     "CorePerfModel",
     "OutOfOrderCoreModel",
     "create_core_model",
-    "Instruction",
     "InstructionClass",
     "LoadQueue",
-    "MemoryInstruction",
     "PseudoInstruction",
     "StoreBuffer",
     "TileClock",

@@ -1,4 +1,4 @@
-"""Dynamic instruction records consumed by the core performance model.
+"""Dynamic records consumed by the core performance model.
 
 The majority of instructions are produced by the front-end as the
 application thread executes; other parts of the system produce
@@ -7,27 +7,18 @@ application thread executes; other parts of the system produce
 a "spawn pseudo-instruction" when a thread lands on a core (paper §3.1).
 
 Dynamic information not present in the instruction trace — memory
-latencies, branch paths — travels alongside the instruction through the
-fields below, produced by the back-end and consumed asynchronously.
+latencies, branch paths — travels alongside the instruction, produced
+by the back-end and consumed asynchronously.  Plain and memory
+instructions hand the core model their fields directly
+(``execute(klass, count)``, ``execute_memory(klass, address,
+latency)``); branches and pseudo-instructions travel as the records
+below.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-from repro.core.isa import InstructionClass
-
-
-@dataclass
-class Instruction:
-    """A plain computational instruction with a static cost class."""
-
-    klass: InstructionClass = InstructionClass.GENERIC
-    #: Number of identical dynamic instructions this record stands for.
-    #: The front-end batches runs of non-trapped instructions, exactly as
-    #: direct execution lets uninteresting instructions run natively.
-    count: int = 1
 
 
 @dataclass
@@ -36,21 +27,6 @@ class BranchInstruction:
 
     pc: int
     taken: bool
-
-
-@dataclass
-class MemoryInstruction:
-    """A load or store with its modelled round-trip latency.
-
-    ``latency`` is produced by the memory model (it already includes
-    network round trips for misses); the core model decides how much of
-    it stalls the pipeline (store buffering may hide store latency).
-    """
-
-    klass: InstructionClass  # LOAD or STORE
-    address: int
-    size: int
-    latency: int
 
 
 class PseudoKind(enum.Enum):

@@ -9,7 +9,7 @@ configurable").
 from __future__ import annotations
 
 import enum
-from typing import Mapping
+from typing import Dict, Mapping
 
 
 class InstructionClass(enum.Enum):
@@ -32,6 +32,11 @@ class InstructionClass(enum.Enum):
 DEFAULT_COST = 1
 
 
-def cost_of(klass: InstructionClass, table: Mapping[str, int]) -> int:
-    """Look up the configured cycle cost of an instruction class."""
-    return table.get(klass.value, DEFAULT_COST)
+def class_costs(table: Mapping[str, int]) -> Dict[InstructionClass, int]:
+    """The configured cycle cost of every instruction class.
+
+    ``table`` is keyed by class value; a class missing from it costs
+    :data:`DEFAULT_COST`.
+    """
+    return {klass: table.get(klass.value, DEFAULT_COST)
+            for klass in InstructionClass}

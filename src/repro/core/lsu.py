@@ -27,7 +27,9 @@ class StoreBuffer:
         if entries < 1:
             raise ValueError("store buffer needs at least one entry")
         self.entries = entries
-        #: (completion_time, line_address) of each in-flight store.
+        #: (completion_time, address) of each in-flight store: the
+        #: store's exact byte address, not its line, so forwarding
+        #: matches a load at that same address only.
         self._inflight: Deque[Tuple[int, int]] = deque()
         self._stalls = stats.counter("store_buffer_stall_cycles")
         self._stores = stats.counter("stores_buffered")
@@ -53,7 +55,12 @@ class StoreBuffer:
 
     def forwards(self, address: int) -> bool:
         """True when a buffered store can forward data at ``address``."""
-        return any(addr == address for _, addr in self._inflight)
+        # A plain loop: ``any()`` over a generator costs a generator
+        # frame on every load.
+        for _, buffered in self._inflight:
+            if buffered == address:
+                return True
+        return False
 
     def occupancy(self, now: int) -> int:
         self._drain(now)

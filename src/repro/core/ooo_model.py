@@ -38,12 +38,10 @@ from repro.core.branch import BranchPredictor
 from repro.core.clock import TileClock
 from repro.core.instruction import (
     BranchInstruction,
-    Instruction,
-    MemoryInstruction,
     PseudoInstruction,
     PseudoKind,
 )
-from repro.core.isa import InstructionClass, cost_of
+from repro.core.isa import InstructionClass, class_costs
 
 
 class OutOfOrderCoreModel:
@@ -59,7 +57,7 @@ class OutOfOrderCoreModel:
         self._tile = tile
         self.branch_predictor = BranchPredictor(
             config.branch_predictor_entries, stats.child("branch"))
-        self._costs = config.instruction_costs
+        self._costs = class_costs(config.instruction_costs)
         self.window_size = config.rob_entries
         self.dispatch_width = max(config.dispatch_width, 1)
         #: Min-heap of completion times of in-flight long-latency ops.
@@ -88,7 +86,7 @@ class OutOfOrderCoreModel:
         self._retire_completed()
 
     def _retire_completed(self) -> None:
-        now = self.clock.now
+        now = self.clock.cycles
         while self._window and self._window[0] <= now:
             heapq.heappop(self._window)
 
@@ -96,8 +94,8 @@ class OutOfOrderCoreModel:
         """Stall until the window has room for one more in-flight op."""
         if len(self._window) >= self.window_size:
             oldest = heapq.heappop(self._window)
-            if oldest > self.clock.now:
-                self._window_stalls.add(oldest - self.clock.now)
+            if oldest > self.clock.cycles:
+                self._window_stalls.add(oldest - self.clock.cycles)
                 self.clock.forward_to(oldest)
             self._retire_completed()
 
@@ -105,22 +103,21 @@ class OutOfOrderCoreModel:
         """Wait for every in-flight operation to complete."""
         if self._window:
             last = max(self._window)
-            if last > self.clock.now:
-                self._memory_stall.add(last - self.clock.now)
+            if last > self.clock.cycles:
+                self._memory_stall.add(last - self.clock.cycles)
                 self.clock.forward_to(last)
             self._window.clear()
 
     # -- the core-model interface ----------------------------------------------
 
-    def execute(self, instruction: Instruction) -> None:
-        cost = cost_of(instruction.klass, self._costs)
-        self._dispatch(cost * instruction.count)
-        self._instructions.add(instruction.count)
+    def execute(self, klass: InstructionClass, count: int = 1) -> None:
+        self._dispatch(self._costs[klass] * count)
+        self._instructions.add(count)
 
     def execute_branch(self, branch: BranchInstruction) -> bool:
         mispredicted = self.branch_predictor.predict_and_update(
             branch.pc, branch.taken)
-        self._dispatch(cost_of(InstructionClass.BRANCH, self._costs))
+        self._dispatch(self._costs[InstructionClass.BRANCH])
         if mispredicted:
             # Flush: lose the overlap and pay the redirect penalty.
             self.drain()
@@ -129,25 +126,26 @@ class OutOfOrderCoreModel:
         self._instructions.add()
         return mispredicted
 
-    def execute_memory(self, op: MemoryInstruction) -> int:
+    def execute_memory(self, klass: InstructionClass, address: int,
+                       latency: int) -> int:
         """Memory ops overlap: they occupy a window slot, not the pipe."""
-        issue_cost = cost_of(op.klass, self._costs)
+        issue_cost = self._costs[klass]
         self._dispatch(issue_cost)
         self._reserve_slot()
-        before = self.clock.now
-        heapq.heappush(self._window, before + op.latency)
-        self._overlapped.add(op.latency)
+        before = self.clock.cycles
+        heapq.heappush(self._window, before + latency)
+        self._overlapped.add(latency)
         self._instructions.add()
-        return self.clock.now - before + issue_cost
+        return self.clock.cycles - before + issue_cost
 
     def execute_pseudo(self, pseudo: PseudoInstruction) -> None:
         if pseudo.kind in (PseudoKind.MESSAGE_RECEIVE, PseudoKind.SYNC,
                            PseudoKind.SPAWN):
             # Synchronization orders everything before it.
             self.drain()
-            before = self.clock.now
+            before = self.clock.cycles
             self.clock.forward_to(pseudo.time)
-            waited = self.clock.now - before
+            waited = self.clock.cycles - before
             self._sync_wait.add(waited)
             if waited > 0 and self._tele is not None:
                 self._tele.emit("stall", self._tile, before,
@@ -169,7 +167,7 @@ class OutOfOrderCoreModel:
 
     @property
     def cycles(self) -> int:
-        return self.clock.now
+        return self.clock.cycles
 
     @property
     def instruction_count(self) -> int:

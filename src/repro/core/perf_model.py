@@ -21,12 +21,10 @@ from repro.core.branch import BranchPredictor
 from repro.core.clock import TileClock
 from repro.core.instruction import (
     BranchInstruction,
-    Instruction,
-    MemoryInstruction,
     PseudoInstruction,
     PseudoKind,
 )
-from repro.core.isa import InstructionClass, cost_of
+from repro.core.isa import InstructionClass, class_costs
 from repro.core.lsu import LoadQueue, StoreBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,7 +52,7 @@ class CorePerfModel:
             config.store_buffer_entries, stats.child("lsu"))
         self.load_queue = LoadQueue(
             config.load_queue_entries, stats.child("lsu"))
-        self._costs = config.instruction_costs
+        self._costs = class_costs(config.instruction_costs)
         self._instructions = stats.counter("instructions")
         self._memory_stall = stats.counter("memory_stall_cycles")
         self._branch_stall = stats.counter("branch_stall_cycles")
@@ -62,15 +60,14 @@ class CorePerfModel:
 
     # -- instruction consumption -------------------------------------------
 
-    def execute(self, instruction: Instruction) -> None:
-        """Retire a batch of computational instructions."""
-        cost = cost_of(instruction.klass, self._costs)
-        self.clock.advance(cost * instruction.count)
-        self._instructions.add(instruction.count)
+    def execute(self, klass: InstructionClass, count: int = 1) -> None:
+        """Retire a batch of ``count`` computational instructions."""
+        self.clock.advance(self._costs[klass] * count)
+        self._instructions.add(count)
 
     def execute_branch(self, branch: BranchInstruction) -> bool:
         """Retire a branch; charge the penalty on a misprediction."""
-        cost = cost_of(InstructionClass.BRANCH, self._costs)
+        cost = self._costs[InstructionClass.BRANCH]
         mispredicted = self.branch_predictor.predict_and_update(
             branch.pc, branch.taken)
         if mispredicted:
@@ -80,8 +77,12 @@ class CorePerfModel:
         self._instructions.add()
         return mispredicted
 
-    def execute_memory(self, op: MemoryInstruction) -> int:
+    def execute_memory(self, klass: InstructionClass, address: int,
+                       latency: int) -> int:
         """Retire a load or store; returns the cycles the pipeline spent.
+
+        ``latency`` is the memory model's round trip for the access (it
+        already includes network round trips for misses).
 
         Loads: charged the full round-trip latency (the in-order core
         needs the value), shortened to the forwarding latency when a
@@ -89,19 +90,18 @@ class CorePerfModel:
         stalls.  Stores: buffered, so the pipeline only stalls when the
         store buffer is full.
         """
-        now = self.clock.now
-        issue_cost = cost_of(op.klass, self._costs)
-        if op.klass is InstructionClass.LOAD:
-            latency = op.latency
-            if self.store_buffer.forwards(op.address):
+        now = self.clock.cycles
+        issue_cost = self._costs[klass]
+        if klass is InstructionClass.LOAD:
+            if self.store_buffer.forwards(address):
                 latency = min(latency, STORE_FORWARD_LATENCY)
             stall = self.load_queue.issue(now, latency)
             total = issue_cost + stall + latency
-        elif op.klass is InstructionClass.STORE:
-            stall = self.store_buffer.issue(now, op.address, op.latency)
+        elif klass is InstructionClass.STORE:
+            stall = self.store_buffer.issue(now, address, latency)
             total = issue_cost + stall
         else:
-            raise ValueError(f"not a memory instruction class: {op.klass}")
+            raise ValueError(f"not a memory instruction class: {klass}")
         self.clock.advance(total)
         self._instructions.add()
         self._memory_stall.add(total - issue_cost)
@@ -111,9 +111,9 @@ class CorePerfModel:
         """Consume a pseudo-instruction from elsewhere in the system."""
         if pseudo.kind in (PseudoKind.MESSAGE_RECEIVE, PseudoKind.SYNC,
                            PseudoKind.SPAWN):
-            before = self.clock.now
+            before = self.clock.cycles
             self.clock.forward_to(pseudo.time)
-            waited = self.clock.now - before
+            waited = self.clock.cycles - before
             self._sync_wait.add(waited)
             if waited > 0 and self._tele is not None:
                 self._tele.emit("stall", self._tile, before,
@@ -147,7 +147,7 @@ class CorePerfModel:
     @property
     def cycles(self) -> int:
         """Current local clock in cycles."""
-        return self.clock.now
+        return self.clock.cycles
 
     @property
     def instruction_count(self) -> int:

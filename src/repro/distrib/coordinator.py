@@ -978,18 +978,15 @@ class DistribSimulator(Simulator):
     # -- cast handlers -------------------------------------------------------
 
     def _cast_charge(self, token: tuple) -> None:
-        """Evaluate a deferred cost token, consuming jitter RNG here —
-        in cast-arrival order, which equals in-process call order."""
+        """Charge a worker's cost token, drawing jitter here — in
+        cast-arrival order, which equals in-process call order."""
         kind, *rest = token
         if kind == "instructions":
-            cost = self.cost_model.instructions(rest[0])
+            self.cost_model.charge_instructions(rest[0])
         elif kind == "model_trap":
-            cost = self.cost_model.model_trap()
-        elif kind == "memory_access":
-            cost = self.cost_model.memory_access()
+            self.cost_model.charge_trap()
         else:
             raise DistribError(f"unknown cost token {token!r}")
-        self.scheduler.charge(cost)
 
     # -- results -------------------------------------------------------------
 

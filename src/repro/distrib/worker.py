@@ -14,10 +14,11 @@ resident and whose shared pieces are RPCs over the control pipe.
 Determinism: the pipe is FIFO and the coordinator runs exactly one
 quantum anywhere at a time, so kernel calls reach the coordinator in
 the same order the in-process backend would make them — including the
-order in which the jittered cost model's RNG is consumed.  Cost-model
-lookups themselves are deferred: ``cost_model.instructions(n)`` here
-returns a token, and the coordinator evaluates it (consuming RNG) when
-the paired ``charge`` arrives.
+order in which the jittered cost model's RNG is consumed.  Host-cost
+charges are casts: ``kernel.charge_instructions(n)`` and
+``kernel.charge_trap()`` here send a cost token, and the coordinator's
+cost model draws the jitter and charges it when the cast arrives, in
+cast order.
 """
 
 from __future__ import annotations
@@ -44,24 +45,6 @@ from repro.telemetry.aggregate import TelemetryBatch
 from repro.telemetry.bus import create_bus
 from repro.telemetry.events import EventCategory
 from repro.transport.message import Message, MessageKind
-
-
-class _DeferredCostModel:
-    """Cost-model facade returning tokens instead of host seconds.
-
-    The real model consumes a jitter RNG per lookup; evaluating here
-    would fork the RNG stream.  Tokens ride the ``charge`` cast and are
-    evaluated coordinator-side, in arrival (= program) order.
-    """
-
-    def instructions(self, count: int) -> tuple:
-        return ("instructions", count)
-
-    def model_trap(self) -> tuple:
-        return ("model_trap",)
-
-    def memory_access(self) -> tuple:
-        return ("memory_access",)
 
 
 class _MemoryProxy:
@@ -230,7 +213,6 @@ class KernelProxy:
         #: Worker-local event bus: no sinks (a worker never opens the
         #: coordinator's trace file); events batch over the wire.
         self.telemetry = create_bus(config.telemetry, with_sinks=False)
-        self.cost_model = _DeferredCostModel()
         self.controllers = _ControllerTable(self)
         self.fabric = _FabricProxy(self)
         self.allocator = _AllocatorProxy(self)
@@ -250,8 +232,11 @@ class KernelProxy:
 
     # -- kernel interface ----------------------------------------------------
 
-    def charge(self, cost_token: tuple) -> None:
-        self.cast("charge", (cost_token,))
+    def charge_instructions(self, count: int) -> None:
+        self.cast("charge", (("instructions", count),))
+
+    def charge_trap(self) -> None:
+        self.cast("charge", (("model_trap",),))
 
     def code_base(self, program: Any) -> int:
         base = self._code_bases.get(id(program))

@@ -28,8 +28,6 @@ from repro.common.errors import CheckpointError, SimulationError
 from repro.common.ids import ThreadId, TileId
 from repro.core.instruction import (
     BranchInstruction,
-    Instruction,
-    MemoryInstruction,
     PseudoInstruction,
     PseudoKind,
 )
@@ -268,14 +266,14 @@ class ThreadInterpreter(ThreadTask):
 
     def _op_compute(self, op: ops.Compute) -> None:
         self._fetch()
-        self.core.execute(Instruction(op.klass, op.count))
-        self.kernel.charge(self.kernel.cost_model.instructions(op.count))
+        self.core.execute(op.klass, op.count)
+        self.kernel.charge_instructions(op.count)
 
     def _op_branch(self, op: ops.Branch) -> None:
         self._fetch()
         pc = op.pc if op.pc is not None else self._code_base
         self.core.execute_branch(BranchInstruction(pc, op.taken))
-        self.kernel.charge(self.kernel.cost_model.instructions(1))
+        self.kernel.charge_instructions(1)
 
     # -- memory ops ------------------------------------------------------------------------
 
@@ -283,33 +281,32 @@ class ThreadInterpreter(ThreadTask):
         self._fetch()
         data, latency = self.memory.load(op.address, op.size,
                                          self.core.cycles)
-        self.core.execute_memory(MemoryInstruction(
-            InstructionClass.LOAD, op.address, op.size, latency))
-        self.kernel.charge(self.kernel.cost_model.instructions(1))
+        self.core.execute_memory(InstructionClass.LOAD, op.address,
+                                 latency)
+        self.kernel.charge_instructions(1)
         return data
 
     def _op_store(self, op: ops.Store) -> None:
         self._fetch()
         latency = self.memory.store(op.address, op.data, self.core.cycles)
-        self.core.execute_memory(MemoryInstruction(
-            InstructionClass.STORE, op.address, len(op.data), latency))
-        self.kernel.charge(self.kernel.cost_model.instructions(1))
+        self.core.execute_memory(InstructionClass.STORE, op.address,
+                                 latency)
+        self.kernel.charge_instructions(1)
 
     def _op_malloc(self, op: ops.Malloc) -> int:
         self.core.clock.advance(MALLOC_CYCLES)
-        self.kernel.charge(self.kernel.cost_model.model_trap())
+        self.kernel.charge_trap()
         return self.kernel.allocator.malloc(op.size, op.align)
 
     def _op_free(self, op: ops.Free) -> None:
         self.core.clock.advance(FREE_CYCLES)
-        self.kernel.charge(self.kernel.cost_model.model_trap())
+        self.kernel.charge_trap()
         self.kernel.allocator.free(op.address)
 
     # -- messaging -----------------------------------------------------------------------------
 
     def _op_send(self, op: ops.Send) -> None:
-        self.core.execute(Instruction(InstructionClass.GENERIC,
-                                      SEND_CYCLES))
+        self.core.execute(InstructionClass.GENERIC, SEND_CYCLES)
         dst_tile = TileId(int(op.dst))
         self.netif.send(dst_tile, payload=(int(self.tile), op.payload),
                         kind=MessageKind.USER,
@@ -344,16 +341,15 @@ class ThreadInterpreter(ThreadTask):
         cmpxchg needs ownership) so contended locks really ping-pong.
         """
         data, load_latency = self.memory.load(address, 8, self.core.cycles)
-        self.core.execute_memory(MemoryInstruction(
-            InstructionClass.LOAD, address, 8, load_latency))
+        self.core.execute_memory(InstructionClass.LOAD, address,
+                                 load_latency)
         value = int.from_bytes(data, "little")
         store_latency = self.memory.store(
             address, data, self.core.cycles)  # ownership acquisition
-        self.core.execute_memory(MemoryInstruction(
-            InstructionClass.STORE, address, 8, store_latency))
-        self.core.execute(Instruction(InstructionClass.IALU,
-                                      LOCK_ALU_CYCLES))
-        self.kernel.charge(self.kernel.cost_model.instructions(4))
+        self.core.execute_memory(InstructionClass.STORE, address,
+                                 store_latency)
+        self.core.execute(InstructionClass.IALU, LOCK_ALU_CYCLES)
+        self.kernel.charge_instructions(4)
         return value
 
     def _op_lock(self, op: ops.Lock) -> Any:
@@ -362,8 +358,8 @@ class ThreadInterpreter(ThreadTask):
             holder = int(self.tile) + 1  # nonzero == locked
             latency = self.memory.store(
                 op.address, holder.to_bytes(8, "little"), self.core.cycles)
-            self.core.execute_memory(MemoryInstruction(
-                InstructionClass.STORE, op.address, 8, latency))
+            self.core.execute_memory(InstructionClass.STORE, op.address,
+                                     latency)
             return None
         # Contended: forward to the MCP futex (system network round trip)
         # and sleep until an unlock wakes us.
@@ -374,9 +370,9 @@ class ThreadInterpreter(ThreadTask):
 
     def _op_unlock(self, op: ops.Unlock) -> None:
         latency = self.memory.store(op.address, bytes(8), self.core.cycles)
-        self.core.execute_memory(MemoryInstruction(
-            InstructionClass.STORE, op.address, 8, latency))
-        self.kernel.charge(self.kernel.cost_model.instructions(2))
+        self.core.execute_memory(InstructionClass.STORE, op.address,
+                                 latency)
+        self.kernel.charge_instructions(2)
         woken = self.kernel.mcp.futex.wake(op.address, 1, self.core.cycles)
         if woken:
             self._system_round_trip()
@@ -433,7 +429,7 @@ class ThreadInterpreter(ThreadTask):
     def _op_syscall(self, op: ops.Syscall) -> Any:
         self._system_round_trip()
         self.core.clock.advance(SYSCALL_TRAP_CYCLES)
-        self.kernel.charge(self.kernel.cost_model.model_trap())
+        self.kernel.charge_trap()
         return self.kernel.mcp.syscalls.execute(op.name, op.args)
 
     # -- helpers -------------------------------------------------------------------------------------------

@@ -91,15 +91,15 @@ class Cache:
         ``count=False`` makes the probe invisible to hit/miss statistics
         (used by coherence-side probes that are not program accesses).
         """
-        # ``_set_of`` inlined: lookup and peek dominate the memory
-        # system's host cost on both execution modes.
+        # ``_set_of`` and ``Counter.add`` inlined: lookup and peek
+        # dominate the memory system's host cost on both execution modes.
         cache_set = self._sets[(line_address >> self._line_shift)
                                % self.num_sets]
         line = cache_set.get(line_address)
         if count:
-            self._lookups.add()
+            self._lookups.value += 1
             if line is not None:
-                self._hits.add()
+                self._hits.value += 1
         if line is not None and touch:
             cache_set.move_to_end(line_address)
         return line

@@ -6,20 +6,24 @@ system: it validates addresses, splits accesses that straddle cache
 lines, models the L1s (timing-only tag arrays), delegates line
 ownership to the coherence engine, moves the actual bytes, and charges
 the host cost of each model invocation.
+
+Every data access runs line by line through :meth:`_access_line`.  A
+private L1 hit there is one L1 probe plus the L2 peek that yields the
+bytes; it never reaches the coherence engine.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.common.ids import TileId
 from repro.common.stats import StatGroup
-from repro.memory.cache import LineState
+from repro.memory.cache import CacheLine, LineState
 from repro.memory.coherence import CoherenceEngine
 
-#: Charges the host cost of one memory-model access (wired through the
-#: scheduler and host cost model by the simulator).
+#: Charges the host cost of one memory-model access (wired to the host
+#: cost model by the simulator).
 ChargeFn = Callable[[], None]
 
 
@@ -34,6 +38,10 @@ class MemoryController:
         self.space = engine.space
         self.hierarchy = engine.hierarchies[int(tile)]
         self.line_bytes = engine.line_bytes
+        self._line_mask = ~(engine.line_bytes - 1)
+        self._l1d = self.hierarchy.l1d
+        self._l1i = self.hierarchy.l1i
+        self._l2 = self.hierarchy.l2
         self._charge_fn = charge_memory_access
         self._loads = stats.counter("loads")
         self._stores = stats.counter("stores")
@@ -43,28 +51,41 @@ class MemoryController:
         self._l1d_latency = l1d.access_latency if l1d.enabled else 0
         self._l1i_latency = l1i.access_latency if l1i.enabled else 0
 
-    def _charge(self) -> None:
+    # -- one cache line ------------------------------------------------------
+
+    def _access_line(self, address: int, line_address: int, size: int,
+                     timestamp: int, write: bool
+                     ) -> Tuple[CacheLine, int]:
+        """Make one line readable (or writable); returns (line, latency).
+
+        ``[address, address + size)`` lies within ``line_address``.
+        """
         # Host-cost accounting is timing bookkeeping; fast-forward
         # (:mod:`repro.sample`) skips it along with the rest of the
         # memory timing model.
         if not self.engine.functional:
             self._charge_fn()
-
-    # -- splitting ---------------------------------------------------------------
-
-    def _split(self, address: int, size: int) -> List[Tuple[int, int, int]]:
-        """Break [address, address+size) into per-line (addr, off, n)."""
-        pieces: List[Tuple[int, int, int]] = []
-        remaining = size
-        cursor = address
-        while remaining > 0:
-            line = self.space.line_of(cursor)
-            offset = cursor - line
-            chunk = min(self.line_bytes - offset, remaining)
-            pieces.append((cursor, offset, chunk))
-            cursor += chunk
-            remaining -= chunk
-        return pieces
+        l1d = self._l1d
+        hit = l1d is not None and l1d.lookup(line_address) is not None
+        if write:
+            resident = self._l2.peek(line_address)
+            if hit and resident is not None \
+                    and resident.state is LineState.MODIFIED:
+                return resident, self._l1d_latency
+            line, miss_latency = self.engine.write_access(
+                self.tile, address, size, timestamp)
+        elif hit:
+            line = self._l2.peek(line_address)
+            if line is None:
+                raise ProtocolError(
+                    f"L1 holds {line_address:#x} but L2 does not "
+                    f"(tile {int(self.tile)})")
+            return line, self._l1d_latency
+        else:
+            line, miss_latency = self.engine.read_access(
+                self.tile, address, size, timestamp)
+        self.hierarchy.fill_l1d(line_address)
+        return line, self._l1d_latency + miss_latency
 
     # -- data accesses ---------------------------------------------------------------
 
@@ -72,100 +93,44 @@ class MemoryController:
              ) -> Tuple[bytes, int]:
         """Read target memory; returns (bytes, modelled latency)."""
         self.space.check_access(address, size)
-        self._loads.add()
-        line_address = self.space.line_of(address)
-        offset = address - line_address
-        if offset + size <= self.line_bytes:
-            # Fast path: the overwhelmingly common single-line access
-            # skips the split loop and the result buffer.  Same probes,
-            # same counters, same state transitions as the loop below.
-            self._charge()
-            if self.hierarchy.l1d_hit(line_address):
-                line = self.hierarchy.l2.peek(line_address)
-                if line is None:
-                    raise ProtocolError(
-                        f"L1 holds {line_address:#x} but L2 does not "
-                        f"(tile {int(self.tile)})")
-                latency = self._l1d_latency
-            else:
-                line, miss_latency = self.engine.read_access(
-                    self.tile, address, size, timestamp)
-                self.hierarchy.fill_l1d(line_address)
-                latency = self._l1d_latency + miss_latency
-            assert line.data is not None
-            return bytes(line.data[offset:offset + size]), latency
-        out = bytearray()
+        self._loads.value += 1
+        out = b""
         latency = 0
-        for piece_address, offset, chunk in self._split(address, size):
-            self._charge()
-            line_address = piece_address - offset
-            if self.hierarchy.l1d_hit(line_address):
-                line = self.hierarchy.l2.peek(line_address)
-                if line is None:
-                    raise ProtocolError(
-                        f"L1 holds {line_address:#x} but L2 does not "
-                        f"(tile {int(self.tile)})")
-                piece_latency = self._l1d_latency
-            else:
-                line, miss_latency = self.engine.read_access(
-                    self.tile, piece_address, chunk, timestamp + latency)
-                self.hierarchy.fill_l1d(line_address)
-                piece_latency = self._l1d_latency + miss_latency
+        end = address + size
+        while address < end:
+            line_address = address & self._line_mask
+            offset = address - line_address
+            chunk = min(self.line_bytes - offset, end - address)
+            line, piece_latency = self._access_line(
+                address, line_address, chunk, timestamp + latency, False)
             assert line.data is not None
             out += line.data[offset:offset + chunk]
             latency += piece_latency
-        return bytes(out), latency
+            address += chunk
+        return out, latency
 
     def store(self, address: int, data: bytes, timestamp: int) -> int:
         """Write target memory; returns the modelled latency."""
         size = len(data)
         self.space.check_access(address, size)
-        self._stores.add()
-        line_address = self.space.line_of(address)
-        offset = address - line_address
-        if offset + size <= self.line_bytes:
-            # Fast path mirroring :meth:`load`'s single-line case.
-            self._charge()
-            resident = self.hierarchy.l2.peek(line_address)
-            if (self.hierarchy.l1d_hit(line_address)
-                    and resident is not None
-                    and resident.state is LineState.MODIFIED):
-                line = resident
-                latency = self._l1d_latency
-            else:
-                line, miss_latency = self.engine.write_access(
-                    self.tile, address, size, timestamp)
-                self.hierarchy.fill_l1d(line_address)
-                latency = self._l1d_latency + miss_latency
-            assert line.data is not None
-            line.data[offset:offset + size] = data
-            if self.engine.classifier is not None:
-                self.engine.classifier.note_store(self.tile, address,
-                                                  size)
-            return latency
+        self._stores.value += 1
+        classifier = self.engine.classifier
         latency = 0
         consumed = 0
-        for piece_address, offset, chunk in self._split(address, size):
-            self._charge()
-            line_address = piece_address - offset
-            resident = self.hierarchy.l2.peek(line_address)
-            if (self.hierarchy.l1d_hit(line_address) and resident is not None
-                    and resident.state is LineState.MODIFIED):
-                line = resident
-                piece_latency = self._l1d_latency
-            else:
-                line, miss_latency = self.engine.write_access(
-                    self.tile, piece_address, chunk, timestamp + latency)
-                self.hierarchy.fill_l1d(line_address)
-                piece_latency = self._l1d_latency + miss_latency
+        while consumed < size:
+            line_address = address & self._line_mask
+            offset = address - line_address
+            chunk = min(self.line_bytes - offset, size - consumed)
+            line, piece_latency = self._access_line(
+                address, line_address, chunk, timestamp + latency, True)
             assert line.data is not None
             line.data[offset:offset + chunk] = \
                 data[consumed:consumed + chunk]
-            if self.engine.classifier is not None:
-                self.engine.classifier.note_store(
-                    self.tile, piece_address, chunk)
-            consumed += chunk
+            if classifier is not None:
+                classifier.note_store(self.tile, address, chunk)
             latency += piece_latency
+            consumed += chunk
+            address += chunk
         return latency
 
     def fetch(self, pc: int, timestamp: int) -> int:
@@ -174,10 +139,12 @@ class MemoryController:
         Code lines are read-shared and flow through the same coherence
         path as data (they are simply never written).
         """
-        self._fetches.add()
-        self._charge()
-        line_address = self.space.line_of(pc)
-        if self.hierarchy.l1i_hit(line_address):
+        self._fetches.value += 1
+        if not self.engine.functional:
+            self._charge_fn()
+        line_address = pc & self._line_mask
+        l1i = self._l1i
+        if l1i is not None and l1i.lookup(line_address) is not None:
             return self._l1i_latency
         _, miss_latency = self.engine.read_access(
             self.tile, pc, 4, timestamp)

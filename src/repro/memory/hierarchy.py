@@ -42,17 +42,6 @@ class CacheHierarchy:
 
     # -- L1 timing-side -----------------------------------------------------------
 
-    def l1d_hit(self, line_address: int) -> bool:
-        """Probe the L1D (counts as an access); False when disabled."""
-        if self.l1d is None:
-            return False
-        return self.l1d.lookup(line_address) is not None
-
-    def l1i_hit(self, line_address: int) -> bool:
-        if self.l1i is None:
-            return False
-        return self.l1i.lookup(line_address) is not None
-
     def fill_l1d(self, line_address: int) -> None:
         """Install the tag in the L1D after an L1 miss (no data)."""
         if self.l1d is not None:

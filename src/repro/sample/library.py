@@ -53,8 +53,10 @@ from repro.sample.controller import FastForwardDone
 #: Metadata file marking a complete library entry.
 LIBRARY_META = "LIBRARY.json"
 
-#: On-disk entry format version.
-LIBRARY_FORMAT = "repro.sample/1"
+#: On-disk entry format version.  It is part of every key, so entries
+#: filed under an older format (whose checkpoints pickle an older
+#: simulator layout) are never forked; the next ``ensure`` re-primes.
+LIBRARY_FORMAT = "repro.sample/2"
 
 
 def workload_descriptor(program: Any, args: tuple = ()) -> Dict[str, Any]:
@@ -126,12 +128,13 @@ class SnapshotLibrary:
             args: tuple = ()) -> str:
         """The library key of ``config``'s functional prefix.
 
-        sha256 over canonical JSON of the workload descriptor, the
-        config's prefix hash and the fast-forward target — no repr of
-        live objects, no addresses, so the key is stable across
-        processes and ``PYTHONHASHSEED`` values.
+        sha256 over canonical JSON of the entry format, the workload
+        descriptor, the config's prefix hash and the fast-forward
+        target — no repr of live objects, no addresses, so the key is
+        stable across processes and ``PYTHONHASHSEED`` values.
         """
         payload = {
+            "format": LIBRARY_FORMAT,
             "descriptor": workload_descriptor(program, args),
             "prefix": config.prefix_hash(),
             "ff_until": config.sample.ff_until,

@@ -8,7 +8,7 @@ is the right grain — exactly the sweep pool's rule), and reports
 ``preempted`` (payload: the checkpoint directory to resume from) or
 ``failed`` (payload: the traceback).
 
-Preemption rides the deterministic ``repro.ckpt/1`` snapshot path: the
+Preemption rides the deterministic ``repro.ckpt/2`` snapshot path: the
 daemon sets the worker's preempt flag, a :class:`PreemptGuard` hook
 polled between scheduler quanta writes one consistent checkpoint and
 unwinds with :class:`JobPreempted`, and the worker hands the

@@ -119,6 +119,12 @@ class Simulator:
             quantum_instructions=config.host.quantum_instructions,
             rng=self.rngs.stream("scheduler"),
             telemetry=self.telemetry)
+        # Kernel interface: the interpreters' per-event host charges go
+        # straight to the cost model, which draws and charges in one
+        # call (bound methods, so snapshots pickle them by reference).
+        self.cost_model.bind(self.scheduler.charge)
+        self.charge_instructions = self.cost_model.charge_instructions
+        self.charge_trap = self.cost_model.charge_trap
 
         # Communication.
         self.transport = self._make_transport()
@@ -143,7 +149,7 @@ class Simulator:
             self.classifier, telemetry=self.telemetry)
         self.controllers: List[MemoryController] = [
             MemoryController(TileId(t), self.engine,
-                             self._charge_memory_access,
+                             self.cost_model.charge_memory_access,
                              self.stats.child(f"mc{t}"))
             for t in range(config.num_tiles)]
 
@@ -365,9 +371,6 @@ class Simulator:
                                                   message.size_bytes)
         if latency > 0.0:
             self.scheduler.charge_blocking(latency)
-
-    def _charge_memory_access(self) -> None:
-        self.scheduler.charge(self.cost_model.memory_access())
 
     def _before_results(self) -> None:
         """Hook run after the engine finishes, before the stats snapshot.

@@ -1,4 +1,4 @@
-"""The on-disk ``repro.ckpt/1`` store: atomicity, integrity, pruning."""
+"""The on-disk ``repro.ckpt/2`` store: atomicity, integrity, pruning."""
 
 from __future__ import annotations
 
@@ -126,6 +126,21 @@ def test_unknown_format_version_is_rejected(tmp_path):
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     manifest["format"] = "repro.ckpt/99"
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(CheckpointError, match="unsupported"):
+        store.read()
+
+
+def test_previous_format_version_is_rejected(tmp_path):
+    """A ``repro.ckpt/1`` snapshot pickles the older simulator layout;
+    resuming it must fail up front, not partway through the run."""
+    store = CheckpointStore(str(tmp_path))
+    path = _write(store, 20)
+    manifest_path = os.path.join(path, "manifest.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest["format"] = "repro.ckpt/1"
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh)
     with pytest.raises(CheckpointError, match="unsupported"):

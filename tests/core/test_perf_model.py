@@ -6,8 +6,6 @@ from repro.common.config import CoreConfig
 from repro.common.stats import StatGroup
 from repro.core.instruction import (
     BranchInstruction,
-    Instruction,
-    MemoryInstruction,
     PseudoInstruction,
     PseudoKind,
 )
@@ -22,21 +20,21 @@ def core():
 
 class TestInstructionCosts:
     def test_generic_costs_one_cycle(self, core):
-        core.execute(Instruction(InstructionClass.GENERIC, 10))
+        core.execute(InstructionClass.GENERIC, 10)
         assert core.cycles == 10
 
     def test_configured_class_costs(self, core):
-        core.execute(Instruction(InstructionClass.FPU_DIV, 1))
+        core.execute(InstructionClass.FPU_DIV, 1)
         assert core.cycles == CoreConfig().instruction_costs["fpu_div"]
 
     def test_unknown_class_defaults_to_one(self):
         config = CoreConfig(instruction_costs={})
         model = CorePerfModel(config, StatGroup("core"))
-        model.execute(Instruction(InstructionClass.IMUL, 3))
+        model.execute(InstructionClass.IMUL, 3)
         assert model.cycles == 3
 
     def test_instruction_count_tracks_batches(self, core):
-        core.execute(Instruction(InstructionClass.IALU, 100))
+        core.execute(InstructionClass.IALU, 100)
         assert core.instruction_count == 100
 
 
@@ -57,36 +55,29 @@ class TestBranches:
 
 class TestMemory:
     def test_load_charges_full_latency(self, core):
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.LOAD, 0x1000, 8, 50))
+        core.execute_memory(InstructionClass.LOAD, 0x1000, 50)
         assert core.cycles == 1 + 50
 
     def test_store_is_buffered(self, core):
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.STORE, 0x1000, 8, 500))
+        core.execute_memory(InstructionClass.STORE, 0x1000, 500)
         assert core.cycles == 1  # hidden by the store buffer
 
     def test_store_buffer_backpressure(self, core):
         for i in range(CoreConfig().store_buffer_entries):
-            core.execute_memory(MemoryInstruction(
-                InstructionClass.STORE, i * 64, 8, 10_000))
+            core.execute_memory(InstructionClass.STORE, i * 64, 10_000)
         before = core.cycles
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.STORE, 0x9000, 8, 10_000))
+        core.execute_memory(InstructionClass.STORE, 0x9000, 10_000)
         assert core.cycles - before > 1  # stalled for a drain
 
     def test_store_to_load_forwarding(self, core):
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.STORE, 0x1000, 8, 10_000))
+        core.execute_memory(InstructionClass.STORE, 0x1000, 10_000)
         before = core.cycles
-        core.execute_memory(MemoryInstruction(
-            InstructionClass.LOAD, 0x1000, 8, 10_000))
+        core.execute_memory(InstructionClass.LOAD, 0x1000, 10_000)
         assert core.cycles - before == 1 + STORE_FORWARD_LATENCY
 
     def test_non_memory_class_rejected(self, core):
         with pytest.raises(ValueError):
-            core.execute_memory(MemoryInstruction(
-                InstructionClass.IALU, 0, 8, 1))
+            core.execute_memory(InstructionClass.IALU, 0, 1)
 
 
 class TestPseudoInstructions:
@@ -95,7 +86,7 @@ class TestPseudoInstructions:
         assert core.cycles == 500
 
     def test_sync_in_past_is_noop(self, core):
-        core.execute(Instruction(InstructionClass.GENERIC, 100))
+        core.execute(InstructionClass.GENERIC, 100)
         core.execute_pseudo(PseudoInstruction(PseudoKind.SYNC, time=50))
         assert core.cycles == 100
 

@@ -18,24 +18,29 @@ def make(l1_enabled=True, l2_size=64 * KB, l2_ways=2):
     return CacheHierarchy(TileId(0), config, StatGroup("h"))
 
 
+def hit(l1, line_address):
+    """Probe an L1 as the memory controller does; a disabled L1 misses."""
+    return l1 is not None and l1.lookup(line_address) is not None
+
+
 class TestL1:
     def test_miss_then_hit_after_fill(self):
         h = make()
-        assert not h.l1d_hit(0x1000)
+        assert not hit(h.l1d, 0x1000)
         h.fill_l1d(0x1000)
-        assert h.l1d_hit(0x1000)
+        assert hit(h.l1d, 0x1000)
 
     def test_disabled_l1_always_misses(self):
         h = make(l1_enabled=False)
         h.fill_l1d(0x1000)  # no-op
-        assert not h.l1d_hit(0x1000)
+        assert not hit(h.l1d, 0x1000)
         assert h.l1d is None
 
     def test_l1i_l1d_independent(self):
         h = make()
         h.fill_l1i(0x1000)
-        assert h.l1i_hit(0x1000)
-        assert not h.l1d_hit(0x1000)
+        assert hit(h.l1i, 0x1000)
+        assert not hit(h.l1d, 0x1000)
 
 
 class TestInclusion:
@@ -45,7 +50,7 @@ class TestInclusion:
         h.fill_l2(0x0, LineState.SHARED, bytearray(64))
         h.fill_l1d(0x0)
         h.fill_l2(step, LineState.SHARED, bytearray(64))  # evicts 0x0
-        assert not h.l1d_hit(0x0)
+        assert not hit(h.l1d, 0x0)
         assert h.check_inclusion()
 
     def test_invalidate_purges_all_levels(self):
@@ -55,8 +60,8 @@ class TestInclusion:
         h.fill_l1i(0x40)
         line = h.invalidate(0x40)
         assert line.state is LineState.MODIFIED
-        assert not h.l1d_hit(0x40)
-        assert not h.l1i_hit(0x40)
+        assert not hit(h.l1d, 0x40)
+        assert not hit(h.l1i, 0x40)
         assert h.l2.peek(0x40) is None
 
     def test_inclusion_invariant_checker(self):

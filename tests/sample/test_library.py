@@ -83,6 +83,15 @@ class TestKeying:
         c = library.key(config, WorkloadRef("lu", 2, 0.3))
         assert len({a, b, c}) == 3
 
+    def test_format_changes_key(self, tmp_path, monkeypatch):
+        """Entries filed under another format are never forked."""
+        import repro.sample.library as library_module
+        library = SnapshotLibrary(str(tmp_path))
+        current = self.key(library)
+        monkeypatch.setattr(library_module, "LIBRARY_FORMAT",
+                            "repro.sample/1")
+        assert self.key(library) != current
+
     def test_args_change_key(self, tmp_path):
         library = SnapshotLibrary(str(tmp_path))
         config = library_config()
@@ -137,7 +146,7 @@ class TestEntries:
         library = SnapshotLibrary(config.sample.library)
         key, _ = library.ensure(config, long_program)
         meta = library.meta(key)
-        assert meta["format"] == "repro.sample/1"
+        assert meta["format"] == "repro.sample/2"
         assert meta["ff_until"] == config.sample.ff_until
         assert meta["prefix_hash"] == config.prefix_hash()
         # The primer's SAMPLE telemetry rides along: exactly one
